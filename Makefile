@@ -8,7 +8,7 @@ GO ?= go
 BENCH_OLD ?= /tmp/bench_old.txt
 BENCH_NEW ?= /tmp/bench_new.txt
 
-.PHONY: all build fmt-check vet test race bench bench-color bench-compare bench-baseline baseline-smoke shard-smoke obs-smoke live-smoke profile-smoke history-smoke nogood-smoke verify fuzz-smoke ci
+.PHONY: all build fmt-check vet test race alloc-pins bench bench-color bench-compare bench-baseline baseline-smoke shard-smoke obs-smoke live-smoke profile-smoke history-smoke nogood-smoke verify fuzz-smoke ci
 
 # Minimum statement coverage for the verification subsystem itself — the
 # checker that everything else leans on must stay tested.
@@ -37,17 +37,28 @@ test:
 race:
 	$(GO) test -race ./...
 
+# alloc-pins runs the coloring allocation pins (alloc_regression_test.go)
+# three times under each of GOMAXPROCS 1, 2 and 4: the counts must not
+# depend on the core count or on GC timing.
+alloc-pins:
+	@set -e; for p in 1 2 4; do \
+		echo "alloc-pins: GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p $(GO) test -run 'TestColorPhaseAllocs' -count=3 .; \
+	done
+
 # bench emits benchstat-compatible output including the per-phase
 # "<phase>-ns/op" columns; pipe two runs into benchstat to diff phases.
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
 # bench-color runs the allocation-sensitive coloring benchmarks (the
-# BenchmarkColor family at the root plus the search package's coloring
+# BenchmarkColor family at the root, the search package's coloring
+# benchmarks and the cluster package's per-visit enumeration and count
 # benchmarks) with enough repetitions for benchstat.
 bench-color:
 	$(GO) test -bench 'BenchmarkColorPhase' -count 5 -run '^$$' .
 	$(GO) test -bench 'BenchmarkColoring' -count 5 -run '^$$' ./internal/search/
+	$(GO) test -bench 'BenchmarkCandidates|BenchmarkCount' -count 5 -run '^$$' ./internal/cluster/
 
 # bench-compare diffs two benchmark snapshots with benchstat:
 #
@@ -348,4 +359,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzAnonymizeEndToEnd' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz 'FuzzBruteForceOracle' -fuzztime $(FUZZTIME) ./internal/verify/
 
-ci: fmt-check vet build test race verify obs-smoke live-smoke profile-smoke baseline-smoke shard-smoke history-smoke nogood-smoke
+ci: fmt-check vet build test race alloc-pins verify obs-smoke live-smoke profile-smoke baseline-smoke shard-smoke history-smoke nogood-smoke

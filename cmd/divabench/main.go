@@ -30,6 +30,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -146,12 +147,13 @@ func main() {
 }
 
 // benchSnapshot is the BENCH_*.json schema: the reproduction command, the
-// harness configuration, and every table with its per-phase seconds and
-// engine counter deltas — the bench trajectory a later PR's snapshot is
-// compared against.
+// GOMAXPROCS it ran under, the harness configuration, and every table with
+// its per-phase seconds and engine counter deltas — the bench trajectory a
+// later snapshot is compared against.
 type benchSnapshot struct {
 	Description string         `json:"description"`
 	Command     string         `json:"command"`
+	GOMAXPROCS  int            `json:"gomaxprocs"`
 	Config      bench.Config   `json:"config"`
 	Tables      []*bench.Table `json:"tables"`
 }
@@ -161,6 +163,7 @@ func writeBenchSnapshot(path string, cfg bench.Config, ids []string, tables []*b
 	snap := benchSnapshot{
 		Description: "divabench snapshot: " + strings.Join(ids, ","),
 		Command:     "go run ./cmd/divabench -exp " + strings.Join(ids, ",") + fmt.Sprintf(" -scale %g -bench-out %s", cfg.Scale, filepath.Base(path)),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Config:      cfg,
 		Tables:      tables,
 	}

@@ -9,29 +9,52 @@ import (
 	"diva/internal/rowset"
 )
 
+// zipfTarget binds the benchmark constraint over a Zipfian PopSyn sample:
+// the most frequent ethnicity, the largest target set.
+func zipfTarget(b *testing.B, rows int) (*Enumerator, string) {
+	b.Helper()
+	rel := dataset.PopSyn(dataset.Zipfian).Generate(rows, 3)
+	eth, _ := rel.Schema().Index("ETH")
+	var best uint32
+	bestN := 0
+	for code, n := range rel.ValueFrequencies(eth) {
+		if n > bestN {
+			best, bestN = code, n
+		}
+	}
+	value := rel.Dict(eth).Value(best)
+	bound, err := constraint.New("ETH", value, bestN/10, bestN).Bound(rel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return NewEnumerator(rel, bound, Options{K: 10}), fmt.Sprintf("rows=%d/target=%d", rows, bestN)
+}
+
 func BenchmarkCandidates(b *testing.B) {
 	for _, rows := range []int{2000, 20000} {
-		rel := dataset.PopSyn(dataset.Zipfian).Generate(rows, 3)
-		eth, _ := rel.Schema().Index("ETH")
-		// The most frequent ethnicity gives the largest target set.
-		var best uint32
-		bestN := 0
-		for code, n := range rel.ValueFrequencies(eth) {
-			if n > bestN {
-				best, bestN = code, n
-			}
-		}
-		value := rel.Dict(eth).Value(best)
-		c := constraint.New("ETH", value, bestN/10, bestN)
-		bound, err := c.Bound(rel)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e := NewEnumerator(rel, bound, Options{K: 10})
-		b.Run(fmt.Sprintf("rows=%d/target=%d", rows, bestN), func(b *testing.B) {
+		e, name := zipfTarget(b, rows)
+		b.Run(name, func(b *testing.B) {
+			var sc Scratch
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if len(e.Candidates(nil, nil)) == 0 {
+				if len(e.Candidates(nil, nil, &sc)) == 0 {
+					b.Fatal("no candidates")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCount is BenchmarkCandidates' count-only probe (MinChoice node
+// selection): the same scoring pass without sorting or materializing.
+func BenchmarkCount(b *testing.B) {
+	for _, rows := range []int{2000, 20000} {
+		e, name := zipfTarget(b, rows)
+		b.Run(name, func(b *testing.B) {
+			var sc Scratch
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if e.Count(nil, nil, &sc) == 0 {
 					b.Fatal("no candidates")
 				}
 			}
@@ -53,9 +76,11 @@ func BenchmarkCandidatesWithExclusions(b *testing.B) {
 	for row := 0; row < rel.Len(); row += 3 {
 		used.Add(row)
 	}
+	var sc Scratch
 	b.ReportAllocs()
+	b.ResetTimer() // exclude the relation and used-set set-up
 	for i := 0; i < b.N; i++ {
-		if len(e.Candidates(nil, used)) == 0 {
+		if len(e.Candidates(nil, used, &sc)) == 0 {
 			b.Fatal("no candidates")
 		}
 	}

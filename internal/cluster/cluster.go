@@ -18,15 +18,19 @@
 // constraints ("we update the candidate clusterings for their neighbors",
 // Section 3.3): Enumerator.Candidates takes the bitset of rows already in
 // use and enumerates over the remaining target rows only, so returned
-// clusters never collide with active ones. Enumeration scratch buffers are
-// pooled and the returned clusterings are carved from per-call arenas, so
+// clusters never collide with active ones. Candidates and Count share one
+// window-scoring pass; Count stops there and returns exactly
+// len(Candidates) without sorting or materializing, which is all MinChoice
+// node selection needs. Working buffers live in a caller-owned Scratch (the
+// coloring search owns one per search), and the returned clusterings are
+// carved from a per-call arena sized exactly from the picked windows, so
 // the search's hottest loop stays nearly allocation-free.
 package cluster
 
 import (
+	"cmp"
 	"context"
-	"sort"
-	"sync"
+	"slices"
 
 	"diva/internal/constraint"
 	"diva/internal/privacy"
@@ -54,7 +58,7 @@ func (s Clustering) Rows() []int {
 	for _, c := range s {
 		out = append(out, c...)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -124,17 +128,15 @@ func NewEnumerator(rel *relation.Relation, b *constraint.Bound, opts Options) *E
 	// The pool is the rows matching the target's QI components: a cluster
 	// preserves occurrences iff it is uniform on those (mixed targets
 	// count their sensitive components per row within the cluster).
-	target := b.TargetQIRows(rel)
-	e.sorted = make([]int, len(target))
-	copy(e.sorted, target)
-	sort.Slice(e.sorted, func(x, y int) bool {
-		rx, ry := rel.Row(e.sorted[x]), rel.Row(e.sorted[y])
+	e.sorted = slices.Clone(b.TargetQIRows(rel))
+	slices.SortFunc(e.sorted, func(x, y int) int {
+		rx, ry := rel.Row(x), rel.Row(y)
 		for _, a := range e.qi {
 			if rx[a] != ry[a] {
-				return rx[a] < ry[a]
+				return cmp.Compare(rx[a], ry[a])
 			}
 		}
-		return e.sorted[x] < e.sorted[y]
+		return cmp.Compare(x, y)
 	})
 	return e
 }
@@ -151,59 +153,102 @@ type scored struct {
 	cost     int
 }
 
+// tuples is the candidate's total cluster size.
+func (c scored) tuples() int { return (c.hi1 - c.lo1) + (c.hi2 - c.lo2) }
+
+// clusters is the candidate's number of clusters.
+func (c scored) clusters() int {
+	if c.hi2 > 0 {
+		return 2
+	}
+	return 1
+}
+
+// byCostThenSize orders candidates by increasing suppression cost, then by
+// fewer tuples; Candidates sorts stably with it, so ties keep enumeration
+// order.
+func byCostThenSize(x, y scored) int {
+	if x.cost != y.cost {
+		return cmp.Compare(x.cost, y.cost)
+	}
+	return cmp.Compare(x.tuples(), y.tuples())
+}
+
 type scoredWindow struct {
 	lo1, hi1 int
 	cost     int
 }
 
-// scratch holds one Candidates call's working buffers. Instances cycle
-// through a sync.Pool (enumerators are shared across portfolio workers), so
-// the steady-state enumeration allocates only its returned clusterings.
-// Nothing in a scratch may be referenced by the returned value.
-type scratch struct {
+// Scratch holds the working buffers of Candidates and Count. A Scratch
+// serves one goroutine at a time: the coloring search owns one per search
+// (sequential, portfolio worker or shard component), so its steady-state
+// enumeration allocates only the clusterings it returns. Nothing in a
+// Scratch is referenced by a returned value. The zero value is ready to use.
+type Scratch struct {
 	avail []int
 	fm    []int
 	chg   [][]int32
+	sizes []int
 	cands []scored
 	base  []scoredWindow
+	// picked holds the winners Candidates materializes; rows is Count's
+	// buffer for criterion checks.
+	picked []scored
+	rows   []int
+	// mixed records whether the last scan ran over a mixed target (the only
+	// case in which two scored entries can share a window key); seen
+	// deduplicates keys then.
+	mixed bool
 	seen  map[[4]int]bool
 }
 
-var scratchPool = sync.Pool{New: func() any { return &scratch{seen: make(map[[4]int]bool, 64)} }}
+// arenaChunk caps one backing array of a result arena. Results needing more
+// rows are carved from several chunks, so one cache-retained candidate list
+// never pins a single oversized slab.
+const arenaChunk = 4096
 
-// resultArena carves the returned clusterings out of chunked backing arrays
-// so a full enumeration costs a handful of allocations instead of one per
-// cluster. Arenas are per call and owned by the result — never pooled.
+// resultArena carves the returned clusterings out of backing arrays sized
+// from the picked windows, so a full enumeration costs a handful of
+// allocations instead of one per cluster. Arenas are per call and owned by
+// the result — never reused.
 type resultArena struct {
 	ints     []int
+	left     int // rows still to be carved, including those left in ints
 	clusters [][]int
+}
+
+func newArena(rows, clusters int) resultArena {
+	return resultArena{left: rows, clusters: make([][]int, clusters)}
 }
 
 func (a *resultArena) rows(n int) []int {
 	if len(a.ints) < n {
-		c := n
-		if c < 4096 {
-			c = 4096
-		}
-		a.ints = make([]int, c)
+		a.ints = make([]int, max(n, min(a.left, arenaChunk)))
 	}
 	out := a.ints[:n:n]
 	a.ints = a.ints[n:]
+	a.left -= n
 	return out
 }
 
 func (a *resultArena) clustering(n int) Clustering {
-	if len(a.clusters) < n {
-		c := n
-		if c < 256 {
-			c = 256
-		}
-		a.clusters = make([][]int, c)
-	}
 	out := a.clusters[:n:n]
 	a.clusters = a.clusters[n:]
 	return Clustering(out)
 }
+
+// empty is 1 when the empty clustering is a candidate (the constraint's
+// lower bound is zero), else 0.
+func (e *Enumerator) empty() int {
+	if e.b.Lower == 0 {
+		return 1
+	}
+	return 0
+}
+
+// limit is how many non-empty clusterings Candidates returns at most: the
+// MaxCandidates budget less the empty clustering, but always at least one.
+func (e *Enumerator) limit() int { return max(e.opts.MaxCandidates-e.empty(), 1) }
 
 // Candidates enumerates candidate clusterings over the target rows not in
 // used (used == nil means all target rows are available), ordered by
@@ -215,12 +260,133 @@ func (a *resultArena) clustering(n int) Clustering {
 // ctx bounds the enumeration: when it is canceled, Candidates returns early
 // with whatever was enumerated so far (the coloring search re-checks the
 // context at its next step and aborts the run). A nil ctx never cancels.
-func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set) []Clustering {
-	var out []Clustering
-	if e.b.Lower == 0 {
+// sc supplies the working buffers; nil means a fresh Scratch.
+func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set, sc *Scratch) []Clustering {
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	avail, cands := e.scan(ctx, used, sc)
+	picked := e.pick(sc, avail, cands)
+	n := e.empty() + len(picked)
+	if n == 0 {
+		return nil
+	}
+	out := make([]Clustering, 0, n)
+	if e.empty() == 1 {
 		out = append(out, Clustering{})
 	}
+	if len(picked) == 0 {
+		return out
+	}
+	// Materialize the winners into an arena sized from them. The returned
+	// clusterings are retained by the search's candidate cache, so the arena
+	// is owned by the result; everything else lives in the scratch.
+	rows, clusters := 0, 0
+	for _, c := range picked {
+		rows += c.tuples()
+		clusters += c.clusters()
+	}
+	ar := newArena(rows, clusters)
+	for _, c := range picked {
+		s := ar.clustering(c.clusters())
+		s[0] = materialize(ar.rows(c.hi1-c.lo1), avail, c.lo1)
+		if c.hi2 > 0 {
+			s[1] = materialize(ar.rows(c.hi2-c.lo2), avail, c.lo2)
+		}
+		out = append(out, s)
+	}
+	return out
+}
 
+// Count returns exactly len(e.Candidates(ctx, used, sc)) without sorting
+// or materializing the candidates (with a Criterion, it checks the winners
+// in a scratch buffer instead). MinChoice node selection needs only this
+// count per uncolored node.
+func (e *Enumerator) Count(ctx context.Context, used *rowset.Set, sc *Scratch) int {
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	avail, cands := e.scan(ctx, used, sc)
+	if e.opts.Criterion != nil {
+		return e.empty() + len(e.pick(sc, avail, cands))
+	}
+	// Without a criterion every distinct window key is a winner, whatever
+	// the order, so the count is the distinct keys up to the budget.
+	limit := e.limit()
+	n := 0
+	clear(sc.seen)
+	for _, c := range cands {
+		if sc.firstSeen(c) {
+			n++
+			if n == limit {
+				break
+			}
+		}
+	}
+	return e.empty() + n
+}
+
+// firstSeen reports whether c's window key is new in the current
+// enumeration. Only a mixed target can repeat a key — a window anchored on
+// a matching row may coincide with a strided window or another anchor —
+// so otherwise every entry is distinct and the map is skipped. Callers
+// clear sc.seen before a pass.
+func (sc *Scratch) firstSeen(c scored) bool {
+	if !sc.mixed {
+		return true
+	}
+	if sc.seen == nil {
+		sc.seen = make(map[[4]int]bool, 64)
+	}
+	key := [4]int{c.lo1, c.hi1, c.lo2, c.hi2}
+	if sc.seen[key] {
+		return false
+	}
+	sc.seen[key] = true
+	return true
+}
+
+// pick orders cands by cost and returns the winners Candidates
+// materializes, in order: distinct window keys that satisfy the Criterion
+// (if any), at most e.limit() of them. The result lives in sc.picked.
+func (e *Enumerator) pick(sc *Scratch, avail []int, cands []scored) []scored {
+	slices.SortStableFunc(cands, byCostThenSize)
+	crit := e.opts.Criterion
+	limit := e.limit()
+	picked := slices.Grow(sc.picked[:0], min(len(cands), limit))
+	clear(sc.seen)
+	for _, c := range cands {
+		if !sc.firstSeen(c) {
+			continue
+		}
+		if crit != nil && !(e.holds(sc, crit, avail, c.lo1, c.hi1) &&
+			(c.hi2 == 0 || e.holds(sc, crit, avail, c.lo2, c.hi2))) {
+			continue
+		}
+		picked = append(picked, c)
+		if len(picked) >= limit {
+			break
+		}
+	}
+	sc.picked = picked
+	return picked
+}
+
+// holds reports whether the cluster avail[lo:hi] satisfies crit, checking
+// the sorted rows in the scratch's buffer.
+func (e *Enumerator) holds(sc *Scratch, crit privacy.Criterion, avail []int, lo, hi int) bool {
+	sc.rows = append(sc.rows[:0], avail[lo:hi]...)
+	slices.Sort(sc.rows)
+	return crit.Holds(e.rel, sc.rows)
+}
+
+// scan is the window-scoring pass Candidates and Count share: it filters
+// the target rows against used and scores every single window, matching-row
+// anchor and window pair within the enumeration budget, in enumeration
+// order. Both results live in sc. cands is empty when no non-empty
+// clustering is possible, or when ctx was canceled before the single
+// windows were scored.
+func (e *Enumerator) scan(ctx context.Context, used *rowset.Set, sc *Scratch) (avail []int, cands []scored) {
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
@@ -237,12 +403,9 @@ func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set) []Cluster
 		}
 	}
 
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-
-	avail := e.sorted
+	avail = e.sorted
 	if used != nil {
-		sc.avail = sc.avail[:0]
+		sc.avail = slices.Grow(sc.avail[:0], len(e.sorted))
 		for _, row := range e.sorted {
 			if !used.Contains(row) {
 				sc.avail = append(sc.avail, row)
@@ -269,6 +432,7 @@ func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set) []Cluster
 		}
 	}
 	mixed := fm[m] < m
+	sc.mixed = mixed
 	preserved := func(lo, hi int) int { return fm[hi] - fm[lo] }
 
 	minSize := e.b.Lower
@@ -286,7 +450,7 @@ func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set) []Cluster
 		maxSize = m
 	}
 	if minSize > maxSize || fm[m] < e.b.Lower {
-		return out // only the empty clustering (if any) is possible
+		return avail, nil // only the empty clustering (if any) is possible
 	}
 
 	// Prefix change counts: chg[a][i] counts positions j in (0, i] where
@@ -328,19 +492,22 @@ func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set) []Cluster
 		return c
 	}
 
-	cands := sc.cands[:0]
-	defer func() { sc.cands = cands[:0] }()
 	rawBudget := e.opts.MaxCandidates * 4
+	// At most rawBudget single windows, MaxCandidates anchors and
+	// MaxCandidates pairs: reserve them all at once.
+	cands = slices.Grow(sc.cands[:0], rawBudget+2*e.opts.MaxCandidates)
+	defer func() { sc.cands = cands[:0] }()
 
 	// Single-cluster windows, smallest (most minimal) sizes first.
 	inRange := func(lo, hi int) bool {
 		p := preserved(lo, hi)
 		return p >= e.b.Lower && p <= e.b.Upper
 	}
-	sizes := windowSizes(minSize, maxSize, e.opts.MaxWindowSizes)
+	sc.sizes = windowSizes(sc.sizes, minSize, maxSize, e.opts.MaxWindowSizes)
+	sizes := sc.sizes
 	for _, s := range sizes {
 		if canceled() {
-			return out
+			return avail, nil
 		}
 		nWindows := m - s + 1
 		if nWindows <= 0 {
@@ -424,67 +591,12 @@ func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set) []Cluster
 			}
 		}
 	}
-
-	sort.SliceStable(cands, func(x, y int) bool {
-		if cands[x].cost != cands[y].cost {
-			return cands[x].cost < cands[y].cost
-		}
-		sx := (cands[x].hi1 - cands[x].lo1) + (cands[x].hi2 - cands[x].lo2)
-		sy := (cands[y].hi1 - cands[y].lo1) + (cands[y].hi2 - cands[y].lo2)
-		return sx < sy
-	})
-
-	// Materialize the winners into per-call arenas. The returned clusterings
-	// are retained by the search's candidate cache, so the arenas are owned
-	// by the result; everything else came from the pool.
-	need := len(cands)
-	if need > e.opts.MaxCandidates {
-		need = e.opts.MaxCandidates
-	}
-	grown := make([]Clustering, len(out), len(out)+need)
-	copy(grown, out)
-	out = grown
-	var ar resultArena
-	clear(sc.seen)
-	for _, c := range cands {
-		key := [4]int{c.lo1, c.hi1, c.lo2, c.hi2}
-		if sc.seen[key] {
-			continue
-		}
-		sc.seen[key] = true
-		nc := 1
-		if c.hi2 > 0 {
-			nc = 2
-		}
-		s := ar.clustering(nc)
-		s[0] = materialize(&ar, avail, c.lo1, c.hi1)
-		if c.hi2 > 0 {
-			s[1] = materialize(&ar, avail, c.lo2, c.hi2)
-		}
-		if crit := e.opts.Criterion; crit != nil && !clusteringHolds(e.rel, crit, s) {
-			continue
-		}
-		out = append(out, s)
-		if len(out) >= e.opts.MaxCandidates {
-			break
-		}
-	}
-	return out
-}
-
-// clusteringHolds reports whether every cluster satisfies the criterion.
-func clusteringHolds(rel *relation.Relation, crit privacy.Criterion, s Clustering) bool {
-	for _, c := range s {
-		if !crit.Holds(rel, c) {
-			return false
-		}
-	}
-	return true
+	return avail, cands
 }
 
 // baseWindows gathers the cheapest windows of exactly size K for pairwise
 // composition, in the scratch's reusable buffer.
-func (e *Enumerator) baseWindows(sc *scratch, m int, cost func(lo, hi int) int) []scoredWindow {
+func (e *Enumerator) baseWindows(sc *Scratch, m int, cost func(lo, hi int) int) []scoredWindow {
 	k := e.opts.K
 	nWindows := m - k + 1
 	if nWindows <= 0 {
@@ -495,16 +607,17 @@ func (e *Enumerator) baseWindows(sc *scratch, m int, cost func(lo, hi int) int) 
 	if nWindows > budget*2 {
 		stride = nWindows / (budget * 2)
 	}
-	ws := sc.base[:0]
+	ws := slices.Grow(sc.base[:0], (nWindows+stride-1)/stride)
 	for lo := 0; lo+k <= m; lo += stride {
 		ws = append(ws, scoredWindow{lo1: lo, hi1: lo + k, cost: cost(lo, lo+k)})
 	}
 	sc.base = ws
-	sort.Slice(ws, func(i, j int) bool {
-		if ws[i].cost != ws[j].cost {
-			return ws[i].cost < ws[j].cost
+	// Window starts are distinct, so the order is total.
+	slices.SortFunc(ws, func(x, y scoredWindow) int {
+		if x.cost != y.cost {
+			return cmp.Compare(x.cost, y.cost)
 		}
-		return ws[i].lo1 < ws[j].lo1
+		return cmp.Compare(x.lo1, y.lo1)
 	})
 	if len(ws) > budget {
 		ws = ws[:budget]
@@ -512,25 +625,25 @@ func (e *Enumerator) baseWindows(sc *scratch, m int, cost func(lo, hi int) int) 
 	return ws
 }
 
-func materialize(ar *resultArena, avail []int, lo, hi int) []int {
-	c := ar.rows(hi - lo)
-	copy(c, avail[lo:hi])
-	sort.Ints(c)
+// materialize fills c with the window of avail starting at lo (len(c) rows)
+// and returns it sorted by row index.
+func materialize(c, avail []int, lo int) []int {
+	copy(c, avail[lo:lo+len(c)])
+	slices.Sort(c)
 	return c
 }
 
-// windowSizes picks the cluster sizes to explore: all sizes from min to max
-// if few, otherwise dense near the minimum (minimal clusterings first) plus
-// a spread up to the maximum.
-func windowSizes(minSize, maxSize, budget int) []int {
+// windowSizes picks the cluster sizes to explore, appended to dst[:0]: all
+// sizes from min to max if few, otherwise dense near the minimum (minimal
+// clusterings first) plus a spread up to the maximum.
+func windowSizes(dst []int, minSize, maxSize, budget int) []int {
+	sizes := slices.Grow(dst[:0], min(maxSize-minSize+1, budget))
 	if maxSize-minSize+1 <= budget {
-		sizes := make([]int, 0, maxSize-minSize+1)
 		for s := minSize; s <= maxSize; s++ {
 			sizes = append(sizes, s)
 		}
 		return sizes
 	}
-	sizes := make([]int, 0, budget)
 	dense := budget / 2
 	for s := minSize; s < minSize+dense; s++ {
 		sizes = append(sizes, s)
@@ -545,7 +658,7 @@ func windowSizes(minSize, maxSize, budget int) []int {
 
 // Candidates enumerates candidates for b over rel with all target rows
 // available. It is shorthand for
-// NewEnumerator(rel, b, opts).Candidates(nil, nil).
+// NewEnumerator(rel, b, opts).Candidates(nil, nil, nil).
 func Candidates(rel *relation.Relation, b *constraint.Bound, opts Options) []Clustering {
-	return NewEnumerator(rel, b, opts).Candidates(nil, nil)
+	return NewEnumerator(rel, b, opts).Candidates(nil, nil, nil)
 }

@@ -1,13 +1,14 @@
 package cluster
 
 import (
-	"diva/internal/testutil"
 	"strconv"
 	"testing"
 
 	"diva/internal/constraint"
+	"diva/internal/privacy"
 	"diva/internal/relation"
 	"diva/internal/rowset"
+	"diva/internal/testutil"
 )
 
 func smallRelation(t testing.TB) *relation.Relation {
@@ -134,7 +135,7 @@ func TestCandidatesExcludeUsedRows(t *testing.T) {
 	b := mustBind(t, rel, constraint.New("ETH", "Asian", 2, 5))
 	e := NewEnumerator(rel, b, Options{K: 2})
 	used := rowset.FromSlice(rel.Len(), []int{3, 5, 7}) // three of five Asian rows
-	cands := e.Candidates(nil, used)
+	cands := e.Candidates(nil, used, nil)
 	if len(cands) == 0 {
 		t.Fatal("no candidates on remaining rows")
 	}
@@ -220,11 +221,11 @@ func TestClusteringHelpers(t *testing.T) {
 }
 
 func TestWindowSizes(t *testing.T) {
-	all := windowSizes(2, 5, 8)
+	all := windowSizes(nil, 2, 5, 8)
 	if len(all) != 4 || all[0] != 2 || all[3] != 5 {
 		t.Fatalf("windowSizes(2,5,8) = %v", all)
 	}
-	capped := windowSizes(10, 1000, 8)
+	capped := windowSizes(nil, 10, 1000, 8)
 	if len(capped) != 8 {
 		t.Fatalf("windowSizes(10,1000,8) = %v", capped)
 	}
@@ -318,5 +319,97 @@ func TestCandidatesContractProperty(t *testing.T) {
 		for _, s := range Candidates(rel, b, Options{K: k}) {
 			checkSatisfies(t, rel, b, s, k)
 		}
+	}
+}
+
+// Property: Count returns exactly len(Candidates) — the contract MinChoice
+// node selection relies on to pick the same node from counts alone — on
+// random relations, random used sets, plain and mixed (QI + sensitive)
+// targets, zero lower bounds, small MaxCandidates caps and a distinct
+// l-diversity criterion. One Scratch serves every call, as in the search.
+func TestCountMatchesCandidatesProperty(t *testing.T) {
+	rng := testutil.Rng(t)
+	schema := relation.MustSchema(
+		relation.Attribute{Name: "A", Role: relation.QI},
+		relation.Attribute{Name: "B", Role: relation.QI},
+		relation.Attribute{Name: "C", Role: relation.Sensitive},
+	)
+	var sc Scratch
+	var seen struct{ mixed, lowerZero, capped, criterion, used int }
+	for trial := 0; trial < 400; trial++ {
+		rel := relation.New(schema)
+		n := 5 + rng.IntN(150)
+		for i := 0; i < n; i++ {
+			rel.MustAppendValues(
+				"a"+strconv.Itoa(rng.IntN(3)),
+				"b"+strconv.Itoa(rng.IntN(5)),
+				"c"+strconv.Itoa(rng.IntN(3)),
+			)
+		}
+		a := "a" + strconv.Itoa(rng.IntN(3))
+		var c constraint.Constraint
+		mixed := rng.IntN(2) == 0
+		if mixed {
+			c = constraint.NewMulti([]string{"A", "C"}, []string{a, "c" + strconv.Itoa(rng.IntN(3))}, 0, 0)
+			seen.mixed++
+		} else {
+			c = constraint.New("A", a, 0, 0)
+		}
+		freq := mustBind(t, rel, c).CountIn(rel)
+		c.Lower = rng.IntN(freq/2 + 2)
+		if rng.IntN(4) == 0 {
+			c.Lower = 0
+		}
+		c.Upper = c.Lower + rng.IntN(freq+2)
+		b := mustBind(t, rel, c)
+		opts := Options{K: 1 + rng.IntN(4)}
+		if rng.IntN(3) == 0 {
+			opts.MaxCandidates = 1 + rng.IntN(6)
+		}
+		if rng.IntN(3) == 0 {
+			opts.Criterion = privacy.DistinctLDiversity{L: 2}
+			seen.criterion++
+		}
+		var used *rowset.Set
+		if rng.IntN(3) != 0 {
+			used = rowset.New(rel.Len())
+			for row := 0; row < rel.Len(); row++ {
+				if rng.IntN(4) == 0 {
+					used.Add(row)
+				}
+			}
+			seen.used++
+		}
+		e := NewEnumerator(rel, b, opts)
+		cands := e.Candidates(nil, used, &sc)
+		if got := e.Count(nil, used, &sc); got != len(cands) {
+			t.Fatalf("trial %d (%s, %+v): Count = %d, len(Candidates) = %d", trial, b, opts, got, len(cands))
+		}
+		if got := e.Count(nil, used, nil); got != len(cands) {
+			t.Fatalf("trial %d: Count with a fresh scratch = %d, want %d", trial, got, len(cands))
+		}
+		if c.Lower == 0 && len(cands) > 0 {
+			seen.lowerZero++
+		}
+		if opts.MaxCandidates > 0 && len(cands) >= opts.MaxCandidates {
+			seen.capped++
+		}
+		for _, s := range cands {
+			if !mixed {
+				checkSatisfies(t, rel, b, s, opts.K)
+			}
+			for _, cl := range s {
+				if opts.Criterion != nil && !opts.Criterion.Holds(rel, cl) {
+					t.Fatalf("trial %d: cluster %v fails %s", trial, cl, opts.Criterion.Name())
+				}
+				if used != nil && used.IntersectsAny(cl) {
+					t.Fatalf("trial %d: cluster %v uses a used row", trial, cl)
+				}
+			}
+		}
+	}
+	// The generator must actually reach every case the property is about.
+	if seen.mixed == 0 || seen.lowerZero == 0 || seen.capped == 0 || seen.criterion == 0 || seen.used == 0 {
+		t.Fatalf("property cases not all exercised: %+v", seen)
 	}
 }

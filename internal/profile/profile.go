@@ -55,10 +55,10 @@ type Span struct {
 	// Backtracked reports that the assignment was retracted; spans on the
 	// successful path stay open and are closed at the search's end time.
 	Backtracked bool `json:"backtracked,omitempty"`
-	// Candidates, CacheHits and CacheMisses count the candidate
-	// enumerations performed directly under this span (for the children
-	// about to be descended into — including strategy probing, which is
-	// real work attributable to this point of the search).
+	// Candidates, CacheHits and CacheMisses count the candidate lists the
+	// child visits directly under this span requested (MinChoice's
+	// count-only probes of the other uncolored nodes emit no events and are
+	// not counted).
 	Candidates  int `json:"candidates,omitempty"`
 	CacheHits   int `json:"cache_hits,omitempty"`
 	CacheMisses int `json:"cache_misses,omitempty"`

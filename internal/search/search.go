@@ -14,10 +14,11 @@
 package search
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -191,12 +192,14 @@ type Stats struct {
 	Backtracks int
 	// CandidatesTried counts consistency checks of candidate clusterings.
 	CandidatesTried int
-	// CacheHits and CacheMisses report the fingerprint-keyed candidate
-	// cache: a hit serves a node's raw candidate list without re-enumerating
-	// it. Entries are keyed by (node, used-set fingerprint), so they survive
-	// backtracking — revisiting a previously seen used-row state hits the
-	// cache (MinChoice probes every uncolored node before picking one, so
-	// the chosen node's candidates are typically served from cache too).
+	// CacheHits and CacheMisses count the candidate-list requests of node
+	// visits against the fingerprint-keyed candidate cache: a hit serves the
+	// visited node's list without enumerating it, a miss enumerates and
+	// materializes it. Entries are keyed by (node, used-set fingerprint), so
+	// they survive backtracking — revisiting a previously seen used-row
+	// state hits the cache. MinChoice's count-only probes of the uncolored
+	// nodes share the cache but count as neither: a probe stores only the
+	// candidate count, so the visited node's list is a miss the first time.
 	CacheHits   int
 	CacheMisses int
 	// NogoodsLearned, NogoodHits, Backjumps and MaxBackjump report the
@@ -344,8 +347,9 @@ func (g *Graph) Color(opts Options) (sigma cluster.Clustering, stats Stats, foun
 		used:       rowset.New(g.rel.Len()),
 		active:     make(map[uint64]*activeCluster),
 		preserve:   make([]int, len(g.Nodes)),
-		candCache:  make(map[candKey][]cluster.Clustering, 4*len(g.Nodes)),
+		candCache:  make(map[candKey]candEntry, 4*len(g.Nodes)),
 		blockCount: make([]int, len(g.Nodes)),
+		candsAt:    make([][]cluster.Clustering, len(g.Nodes)+1),
 		opts:       opts,
 	}
 	st.stats.nodeAssigns = make([]int, len(g.Nodes))
@@ -420,11 +424,20 @@ type state struct {
 	// candCache memoizes raw candidate enumerations keyed by (node,
 	// used-set fingerprint). Enumeration is a pure function of the node and
 	// the used-row set, so entries stay valid across backtracking: MinChoice
-	// probes every uncolored node before picking one, and unwinding to a
-	// previously explored used-state serves enumerations without redoing
-	// them. The cache is cleared wholesale if it ever exceeds
+	// probes every uncolored node's count before picking one, and unwinding
+	// to a previously explored used-state serves counts and lists without
+	// redoing them. The cache is cleared wholesale if it ever exceeds
 	// maxCandCacheEntries.
-	candCache map[candKey][]cluster.Clustering
+	candCache map[candKey]candEntry
+	// enum is the candidate enumeration's working memory, owned by this
+	// search alone.
+	enum cluster.Scratch
+	// candsAt reuses one candidate-list buffer per visit depth: a frame's
+	// list stays live while the deeper frames build theirs. usable and
+	// uncolored are sharedCandidates' and nextNode's reusable scratch.
+	candsAt   [][]cluster.Clustering
+	usable    []sharedCluster
+	uncolored []int
 	// newClusters is isConsistent's reusable scratch for the genuinely new
 	// clusters of a candidate (candidatesFor finishes with it before the
 	// search recurses, so one buffer per state suffices).
@@ -477,6 +490,15 @@ type candKey struct {
 	fp   uint64
 }
 
+// candEntry is one cached enumeration: the candidate count, and the list
+// itself once a visit asked for it (listed). MinChoice probes fill only the
+// count.
+type candEntry struct {
+	count  int
+	list   []cluster.Clustering
+	listed bool
+}
+
 // maxCandCacheEntries bounds candCache; deep searches over many used-states
 // would otherwise grow it without limit. Exceeding it drops the whole cache
 // (entries are cheap to rebuild — one enumeration each).
@@ -508,23 +530,43 @@ func (st *state) canceled() bool {
 // used-row set, served from the fingerprint-keyed cache when possible.
 func (st *state) rawCandidates(v int) []cluster.Clustering {
 	key := candKey{node: v, fp: st.used.Fingerprint()}
-	if cands, ok := st.candCache[key]; ok {
+	entry, ok := st.candCache[key]
+	if ok && entry.listed {
 		st.stats.CacheHits++
 		if st.opts.Tracer != nil {
-			st.opts.Tracer.Trace(trace.Event{Kind: trace.KindCacheHit, Node: v, N: len(cands), Parent: st.topSpan(), Depth: st.nColored})
+			st.opts.Tracer.Trace(trace.Event{Kind: trace.KindCacheHit, Node: v, N: len(entry.list), Parent: st.topSpan(), Depth: st.nColored})
 		}
-		return cands
+		return entry.list
 	}
-	cands := st.g.Nodes[v].Enum.Candidates(st.opts.Ctx, st.used)
-	if len(st.candCache) >= maxCandCacheEntries {
-		clear(st.candCache)
-	}
-	st.candCache[key] = cands
+	cands := st.g.Nodes[v].Enum.Candidates(st.opts.Ctx, st.used, &st.enum)
+	st.cache(key, ok, candEntry{count: len(cands), list: cands, listed: true})
 	st.stats.CacheMisses++
 	if st.opts.Tracer != nil {
 		st.opts.Tracer.Trace(trace.Event{Kind: trace.KindCandidates, Node: v, N: len(cands), Parent: st.topSpan(), Depth: st.nColored})
 	}
 	return cands
+}
+
+// candidateCount returns the number of node v's raw candidates against the
+// current used-row set — len(rawCandidates(v)) — counting them without
+// materializing the list unless the cache already holds it.
+func (st *state) candidateCount(v int) int {
+	key := candKey{node: v, fp: st.used.Fingerprint()}
+	if entry, ok := st.candCache[key]; ok {
+		return entry.count
+	}
+	n := st.g.Nodes[v].Enum.Count(st.opts.Ctx, st.used, &st.enum)
+	st.cache(key, false, candEntry{count: n})
+	return n
+}
+
+// cache stores entry under key; present says the key is already cached
+// (the entry is being completed), otherwise a full cache is dropped first.
+func (st *state) cache(key candKey, present bool, entry candEntry) {
+	if !present && len(st.candCache) >= maxCandCacheEntries {
+		clear(st.candCache)
+	}
+	st.candCache[key] = entry
 }
 
 // visit aggregates one node-visit's candidate accounting, reported on the
@@ -554,10 +596,11 @@ type visit struct {
 func (st *state) candidatesFor(v int) ([]cluster.Clustering, visit) {
 	vs := visit{blocker: -1}
 	node := st.g.Nodes[v]
-	out := st.sharedCandidates(node)
+	out := st.sharedCandidates(node, st.candsAt[st.nColored][:0])
 	vs.enumerated = len(out)
 	raw := st.rawCandidates(v)
 	vs.enumerated += len(raw)
+	out = slices.Grow(out, len(raw))
 	// Blocker attribution feeds the KindExhausted event and, under learning,
 	// the conflict-set derivation (conflFor reads st.blockCount right after
 	// this visit's enumeration); the scratch bookkeeping is skipped when
@@ -590,28 +633,34 @@ func (st *state) candidatesFor(v int) ([]cluster.Clustering, visit) {
 			}
 		}
 	}
+	st.candsAt[st.nColored] = out
 	return out, vs
 }
 
+// sharedCluster is an active cluster that preserves some of a node's
+// target occurrences.
+type sharedCluster struct {
+	rows      []int
+	preserved int
+}
+
 // sharedCandidates proposes clusterings built from clusters other nodes
-// already activated: every active cluster (or combination of active
-// clusters) whose preserved occurrences of the node's target land within
-// the node's frequency range is a zero-cost color for the node.
-func (st *state) sharedCandidates(node *Node) []cluster.Clustering {
+// already activated, appended to out: every active cluster (or combination
+// of active clusters) whose preserved occurrences of the node's target land
+// within the node's frequency range is a zero-cost color for the node.
+func (st *state) sharedCandidates(node *Node, out []cluster.Clustering) []cluster.Clustering {
 	b := node.Bound
-	type shared struct {
-		rows      []int
-		preserved int
-	}
-	var usable []shared
+	usable := st.usable[:0]
 	for _, ac := range st.active {
 		if p := preservedIn(st.g.rel, b, ac.rows); p > 0 {
-			usable = append(usable, shared{rows: ac.rows, preserved: p})
+			usable = append(usable, sharedCluster{rows: ac.rows, preserved: p})
 		}
 	}
-	// Map iteration order is random; keep the search deterministic.
-	sort.Slice(usable, func(i, j int) bool { return usable[i].rows[0] < usable[j].rows[0] })
-	var out []cluster.Clustering
+	st.usable = usable
+	// Map iteration order is random; keep the search deterministic. Active
+	// clusters are disjoint, so first rows are distinct and the order is
+	// total.
+	slices.SortFunc(usable, func(x, y sharedCluster) int { return cmp.Compare(x.rows[0], y.rows[0]) })
 	// Single shared clusters.
 	for _, s := range usable {
 		st.stats.CandidatesTried++
@@ -927,7 +976,7 @@ func (st *state) nextNode() int {
 			if st.colored[i] {
 				continue
 			}
-			count := len(st.rawCandidates(i))
+			count := st.candidateCount(i)
 			if best == -1 || count < bestCount {
 				best, bestCount = i, count
 			}
@@ -951,12 +1000,13 @@ func (st *state) nextNode() int {
 		}
 		return best
 	default: // Basic
-		var uncolored []int
+		uncolored := st.uncolored[:0]
 		for i := range st.g.Nodes {
 			if !st.colored[i] {
 				uncolored = append(uncolored, i)
 			}
 		}
+		st.uncolored = uncolored
 		if st.opts.Rng != nil {
 			// State-pure random choice: hash the per-search salt with the
 			// current used-row fingerprint and depth instead of consuming
